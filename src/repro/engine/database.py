@@ -4,15 +4,23 @@ The database is the ``M`` of the paper's ``R(M)`` operator — a set of
 U-facts — organized per predicate for indexed access.  Predicates are
 keyed by name only; the first fact fixes the arity and later arity
 mismatches raise.
+
+Facts enter set-at-a-time: the constructor is the one ingest path for
+base facts (EDBs, snapshots, interpretations), canonicalizing and
+encoding them in a single pass and loading each predicate with one bulk
+insert.  :meth:`Database.add` remains for single-fact updates.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator
 
-from repro.engine.relation import ArgTuple, Relation
+from repro.engine.relation import ArgTuple, IdRow, Relation, encode_args
 from repro.errors import EvaluationError
-from repro.program.rule import Atom
+from repro.program.rule import Atom, canonical_atom
+
+_rid_of = attrgetter("_rid")
 
 
 class Database:
@@ -21,9 +29,34 @@ class Database:
     __slots__ = ("_relations",)
 
     def __init__(self, facts: Iterable[Atom] = ()) -> None:
+        """Load ``facts`` in one pass, in input order.
+
+        An atom whose arguments are all interned already is encoded by
+        reading their row IDs; any other atom goes through
+        :func:`~repro.program.rule.canonical_atom` (which interns it,
+        subterms first, and raises ``EvaluationError`` or
+        ``NotInUniverseError`` on a fact outside U), so dense IDs are
+        assigned in input order.  Rows are deduplicated per predicate,
+        keeping the first spelling (a quoted ``"a"`` and a bare ``a``
+        share a row), then each predicate is loaded with one
+        :meth:`Relation.load`.  The first fact of a predicate fixes its
+        arity; a mismatch raises ``ValueError``.
+        """
         self._relations: dict[str, Relation] = {}
+        pending: dict[str, dict[IdRow, ArgTuple]] = {}
         for atom in facts:
-            self.add(atom)
+            args = atom.args
+            row = tuple(map(_rid_of, args))
+            if None in row:
+                atom = canonical_atom(atom)
+                args = atom.args
+                row = encode_args(args)
+            rows = pending.get(atom.pred)
+            if rows is None:
+                rows = pending[atom.pred] = {}
+            rows.setdefault(row, args)
+        for pred, rows in pending.items():
+            self.relation(pred, len(next(iter(rows)))).load(rows)
 
     def relation(self, pred: str, arity: int | None = None) -> Relation:
         """The relation for ``pred``, creating it when ``arity`` given."""

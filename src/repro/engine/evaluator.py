@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Literal as TypingLiteral
 
 from repro.engine.context import EvalContext
@@ -43,10 +44,10 @@ from repro.engine.match import Binding, match_atom
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.observe import EngineHooks, MetricsCollector, emit_event
 from repro.program.dependency import SCCComponent, scc_schedule
-from repro.program.rule import Atom, Program, Query, Rule, canonical_atom
+from repro.program.rule import Atom, Program, Query, Rule
 from repro.program.stratify import Layering, stratify, validate_layering
 from repro.program.wellformed import check_program
-from repro.terms.term import Term, evaluate_ground, id_table_size
+from repro.terms.term import Term, Var, evaluate_ground, id_table_size
 
 Strategy = TypingLiteral["naive", "seminaive"]
 Scheduler = TypingLiteral["scc", "layer"]
@@ -170,18 +171,6 @@ def evaluate_component(
     return stats
 
 
-def _install_facts(db: Database, program: Program) -> None:
-    for rule in program.facts():
-        head = rule.head
-        try:
-            args = tuple(evaluate_ground(a) for a in head.args)
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"fact {head!r} does not denote a U-fact: {exc}"
-            ) from exc
-        db.add(Atom(head.pred, args))
-
-
 def evaluate(
     program: Program,
     edb: Iterable[Atom] = (),
@@ -235,10 +224,10 @@ def evaluate(
     if scheduler not in ("scc", "layer"):
         raise EvaluationError(f"unknown scheduler {scheduler!r}")
 
-    # canonicalize EDB args exactly as IncrementalModel does, so a
-    # session computes the same model in-memory and durably.
-    db = Database(canonical_atom(a) for a in edb)
-    _install_facts(db, program)
+    # one bulk ingest of the EDB and then the program's facts; it
+    # canonicalizes args exactly as IncrementalModel does, so a session
+    # computes the same model in-memory and durably.
+    db = Database(chain(edb, (rule.head for rule in program.facts())))
     ctx = EvalContext(
         db, planner=planner, hooks=hooks, metrics=metrics, executor=executor
     )
@@ -339,10 +328,81 @@ def _query_tuples(db: Database, query: Query) -> Iterable[tuple[Term, ...]]:
 
 def answer_query(db: Database, query: Query) -> list[Binding]:
     """Match a query atom against the database; sorted distinct bindings."""
+    return match_rows(query.atom, _query_tuples(db, query))
+
+
+def _projection(pattern: Atom):
+    """The fast-path shape of ``pattern``, or None to decline.
+
+    Returns ``(variables, constants)`` — ``(name, position)`` of each
+    variable in argument order and ``(position, term)`` of each ground
+    argument — when every argument is either a variable occurring once
+    or an already-canonical (interned) ground term.  Repeated variables,
+    compound or set patterns with variables, and ground terms that
+    still need evaluating (set patterns, arithmetic) decline.
+    """
+    variables: list[tuple[str, int]] = []
+    constants: list[tuple[int, Term]] = []
+    for i, arg in enumerate(pattern.args):
+        if type(arg) is Var:
+            if any(name == arg.name for name, _ in variables):
+                return None
+            variables.append((arg.name, i))
+        elif arg._interned:
+            constants.append((i, arg))
+        else:
+            return None
+    return variables, constants
+
+
+def match_rows(pattern: Atom, rows: Iterable[tuple[Term, ...]]) -> list[Binding]:
+    """Sorted distinct bindings of ``pattern`` over candidate ``rows``.
+
+    ``rows`` must be distinct — a relation's extension or a slice of
+    it, as both the engine and the answer cache supply.  This is the
+    one answer function behind :func:`answer_query` and the server's
+    answer cache, so cached and engine answers cannot drift apart.
+
+    When :func:`_projection` accepts the pattern, each binding is built
+    straight from its row: a row matches when its arity and ground
+    positions agree, and distinct rows project to distinct bindings
+    (the pattern's variables cover every other position once), so no
+    dedupe is needed.  Every other shape goes through
+    :func:`_match_rows_general`.  Both paths sort by the variables'
+    values in name order and return the same bindings in the same
+    order.
+    """
+    shape = _projection(pattern)
+    if shape is None:
+        return _match_rows_general(pattern, rows)
+    variables, constants = shape
+    arity = len(pattern.args)
+    if constants:
+        matched = [
+            row for row in rows
+            if len(row) == arity and all(row[i] == c for i, c in constants)
+        ]
+    else:
+        matched = [row for row in rows if len(row) == arity]
+    if len(variables) == 1:
+        ((name, pos),) = variables
+        matched.sort(key=lambda row: row[pos].sort_key())
+        return [{name: row[pos]} for row in matched]
+    order = [pos for _, pos in sorted(variables)]
+    matched.sort(key=lambda row: tuple(row[i].sort_key() for i in order))
+    return [{name: row[pos] for name, pos in variables} for row in matched]
+
+
+def _match_rows_general(
+    pattern: Atom, rows: Iterable[tuple[Term, ...]]
+) -> list[Binding]:
+    """:func:`match_rows` for any pattern: one-way matching of every
+    row (repeated variables, compound and set patterns, ground terms
+    still to evaluate), deduplicated, sorted."""
     answers: list[Binding] = []
     seen: set[frozenset] = set()
-    for args in _query_tuples(db, query):
-        for binding in match_atom(query.atom, args, {}):
+    for args in rows:
+        for binding in match_atom(pattern, args, {}):
             key = frozenset(binding.items())
             if key not in seen:
                 seen.add(key)

@@ -30,6 +30,7 @@ All paths produce exactly the model a from-scratch evaluation would
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import networkx as nx
@@ -358,16 +359,16 @@ class IncrementalModel:
         # the next maintained update re-snapshot.
         self._maintainer = None
         stats = UpdateStats(mode="recompute", affected_predicates=len(cone))
-        # keep everything outside the cone; rebuild the inside.
-        fresh = Database()
-        for atom in self.database.atoms():
-            if atom.pred not in cone:
-                fresh.add(atom)
-            elif atom.pred in self._idb:
-                stats.facts_removed += 1
-            # changed EDB facts are reinstated from _edb_facts below
-        for atom in self._edb_facts:
-            fresh.add(atom)
+        # keep everything outside the cone; rebuild the inside (changed
+        # EDB facts are reinstated from _edb_facts).
+        old = self.database
+        stats.facts_removed = sum(old.count(p) for p in cone & self._idb)
+        fresh = Database(
+            chain(
+                (a for p in old.predicates() if p not in cone for a in old.atoms(p)),
+                self._edb_facts,
+            )
+        )
         self.database = fresh
         # cached plans stay valid across swaps: the sized-once policy
         # never invalidates, and plans hold no database references.

@@ -133,7 +133,8 @@ class _GroupState:
     def __init__(self, rule: Rule) -> None:
         spec = _grouping_spec(rule)
         self.group_position, self.group_var, self.other_terms = spec
-        # key -> {grouped value -> multiplicity > 0}
+        # key -> {grouped value -> non-zero multiplicity}; positive
+        # between updates, possibly negative mid-update (see _accumulate)
         self.buckets: dict[tuple[Term, ...], dict[Term, int]] = {}
         # key -> the fact currently standing for that group
         self.facts: dict[tuple[Term, ...], Atom] = {}
@@ -479,7 +480,15 @@ class DeltaMaintainer:
         """Add ``sign`` to the multiplicity of each binding's grouped
         value, mirroring ``group_bindings`` semantics exactly: an
         unbound grouped variable raises, keys or values outside U drop
-        the binding.  Returns the touched keys."""
+        the binding.  Returns the touched keys.
+
+        Multiplicities may go negative mid-update: the telescoping
+        terms of one update arrive in occurrence order, so a deletion
+        term can subtract support that a later insertion term adds
+        back (a group emptying while a negation flip inserts a body
+        fact).  Clamping at zero would lose that debt; only the sum
+        over all terms is the new multiplicity, and it is never
+        negative."""
         touched: set[tuple[Term, ...]] = set()
         buckets = state.buckets
         group_var = state.group_var
@@ -503,7 +512,7 @@ class DeltaMaintainer:
             if bucket is None:
                 bucket = buckets[key] = {}
             n = bucket.get(value, 0) + sign
-            if n > 0:
+            if n:
                 bucket[value] = n
             else:
                 bucket.pop(value, None)

@@ -268,14 +268,46 @@ class Relation:
         This is the vectorized fixpoint's scatter: the duplicate
         candidates a naive round re-derives by the hundreds of
         thousands are eliminated at C speed (``dict.fromkeys`` dedupe +
-        ``filterfalse`` against the row→position dict), columns extend
-        in one bulk gather/append per lane, and only the genuinely new
-        rows pay Python-level work (one ``decode`` call each for the
-        verbatim term lane, plus index maintenance when indexes exist).
+        ``filterfalse`` against the row→position dict), and only the
+        genuinely new rows pay Python-level work (one ``decode`` call
+        each for the verbatim term lane); see :meth:`_append`.
         """
         fresh = list(filterfalse(self._rowpos.__contains__, dict.fromkeys(rows)))
         if not fresh:
             return []
+        args = [decode(row) for row in fresh]
+        self._append(fresh, args)
+        return list(zip(fresh, args))
+
+    def load(self, rows: dict[IdRow, ArgTuple]) -> None:
+        """Bulk-insert verbatim tuples keyed by their ID rows, in the
+        dict's order.
+
+        The EDB ingest's one insert per predicate
+        (:meth:`Database.__init__`): ``rows`` is already deduplicated,
+        so only rows this relation holds already are filtered out, and
+        those keep their first spelling in the term lane — exactly as
+        one :meth:`add` per tuple would.  Raises ``ValueError`` when a
+        new row's arity is not the relation's.
+        """
+        fresh = list(filterfalse(self._rowpos.__contains__, rows))
+        if not fresh:
+            return
+        args = list(map(rows.__getitem__, fresh))
+        for arity in set(map(len, fresh)):
+            if arity != self.arity:
+                raise ValueError(
+                    f"{self.pred}: arity {self.arity} but got {arity} args"
+                )
+        self._append(fresh, args)
+
+    def _append(self, fresh: list[IdRow], args: list[ArgTuple]) -> None:
+        """Append rows known to be new, with their verbatim tuples.
+
+        Columns extend in one bulk append per lane, the row→position
+        dict in one ``update``; existing indexes of both families are
+        maintained per row.
+        """
         if self._cow:
             self._unshare()
         rowpos = self._rowpos
@@ -284,46 +316,28 @@ class Relation:
         # not leave some columns extended and others not.
         done = 0
         try:
-            for i, column in enumerate(self._columns):
-                column.extend([row[i] for row in fresh])
+            for column, lane in zip(self._columns, zip(*fresh)):
+                column.extend(lane)
                 done += 1
         except BufferError:
             for column in self._columns[:done]:
                 del column[base:]
             raise
-        pos = base
-        for row in fresh:
-            rowpos[row] = pos
-            pos += 1
-        pairs = [(row, decode(row)) for row in fresh]
-        self._decoded.extend([args for _, args in pairs])
-        if self._id_indexes:
-            for positions, index in self._id_indexes.items():
+        rowpos.update(zip(fresh, range(base, base + len(fresh))))
+        self._decoded.extend(args)
+        for indexes, items in ((self._id_indexes, fresh), (self._indexes, args)):
+            for positions, index in indexes.items():
                 single = len(positions) == 1
                 first = positions[0]
-                for row in fresh:
-                    key = row[first] if single else tuple(
-                        row[i] for i in positions
+                for item in items:
+                    key = item[first] if single else tuple(
+                        item[i] for i in positions
                     )
                     bucket = index.get(key)
                     if bucket is None:
-                        index[key] = {row}
+                        index[key] = {item}
                     else:
-                        bucket.add(row)
-        if self._indexes:
-            for positions, index in self._indexes.items():
-                single = len(positions) == 1
-                first = positions[0]
-                for _, args in pairs:
-                    key = args[first] if single else tuple(
-                        args[i] for i in positions
-                    )
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = {args}
-                    else:
-                        bucket.add(args)
-        return pairs
+                        bucket.add(item)
 
     def discard(self, args: ArgTuple) -> bool:
         """Remove a tuple; returns True when it was present.

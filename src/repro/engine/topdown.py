@@ -26,6 +26,7 @@ Design:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.engine.builtins import solve_builtin
@@ -76,14 +77,11 @@ class TopDownEvaluator:
         self.program = program
         self.layering = stratify(program)  # also verifies admissibility
         self._idb = program.idb_predicates()
-        self._db = Database(edb)
+        self._db = Database(chain(edb, (rule.head for rule in program.facts())))
         # body orders are planned per (rule, bound head vars) and cached
         # for the evaluator's lifetime — the driver re-runs rules many
         # times before tables quiesce.
         self._context = EvalContext(self._db, hooks=hooks)
-        for rule in program.facts():
-            args = tuple(evaluate_ground(a) for a in rule.head.args)
-            self._db.add(Atom(rule.head.pred, args))
         self._tables: dict[tuple[str, SubgoalKey], Table] = {}
         self._active: set[tuple[str, SubgoalKey]] = set()
         self._grew = False

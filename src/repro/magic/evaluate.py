@@ -28,6 +28,7 @@ rule application, recursive ones as their own small fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from repro.engine.context import EvalContext, ensure_context
@@ -41,7 +42,7 @@ from repro.engine.match import Binding
 from repro.errors import UnstableMagicEvaluationError
 from repro.observe import EngineHooks
 from repro.magic.rewrite import MagicProgram, magic_rewrite
-from repro.program.rule import Atom, Program, Query, Rule, canonical_atom
+from repro.program.rule import Atom, Program, Query, Rule
 from repro.program.wellformed import check_program
 from repro.terms.term import evaluate_ground
 
@@ -116,17 +117,14 @@ def evaluate_magic(
         check_program(program)
     mp = rewrite(program, query)
 
-    db = Database(canonical_atom(a) for a in edb)
     idb = mp.adorned.idb_predicates
-    for rule in program.facts():
-        if rule.head.pred not in idb:
-            db.add(
-                Atom(
-                    rule.head.pred,
-                    tuple(evaluate_ground(a) for a in rule.head.args),
-                )
-            )
-    db.add(mp.seed)
+    db = Database(
+        chain(
+            edb,
+            (r.head for r in program.facts() if r.head.pred not in idb),
+            (mp.seed,),
+        )
+    )
 
     phase1_rules = list(mp.magic_rules) + list(mp.modified_rules)
     # condensed once: the saturation sweep walks the rewritten rules'

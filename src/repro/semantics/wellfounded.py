@@ -26,6 +26,7 @@ rejected; use the stratified evaluator for those.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
@@ -33,7 +34,6 @@ from repro.engine.exec import derive_facts
 from repro.errors import EvaluationError
 from repro.program.rule import Atom, Program
 from repro.program.wellformed import check_program
-from repro.terms.term import evaluate_ground
 from typing import Iterable
 
 
@@ -103,14 +103,7 @@ def wellfounded(
                 "use the stratified evaluator"
             )
 
-    base = Database(edb)
-    for rule in program.facts():
-        base.add(
-            Atom(
-                rule.head.pred,
-                tuple(evaluate_ground(a) for a in rule.head.args),
-            )
-        )
+    base = Database(chain(edb, (rule.head for rule in program.facts())))
 
     # one context for the whole alternating fixpoint: every reduct
     # reuses the same compiled plans.

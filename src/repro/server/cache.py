@@ -9,9 +9,11 @@ and its session and memoizes query answers across clients:
   a fresh, distinct variable.  ``? p(f(X), a)`` and ``? p(Y, a)`` thus
   share one entry — the cache stores full ground argument **rows** for
   the relaxed pattern and re-derives each caller's bindings by matching
-  the caller's own atom against the rows (repeated variables, compound
-  patterns, and arithmetic in ground positions all fall out of
-  :func:`repro.engine.match.match_atom`).
+  the caller's own atom against the rows with the engine's own answer
+  function, :func:`repro.engine.evaluator.match_rows` (repeated
+  variables, compound patterns, and arithmetic in ground positions all
+  fall out of it), so a cached answer is indistinguishable from an
+  engine answer.
 
 * **Subsumption.**  A miss on the exact key scans the predicate's other
   entries for a *broader* one — same predicate, bound positions a
@@ -52,11 +54,11 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import networkx as nx
 
-from repro.engine.match import match_atom
+from repro.engine.evaluator import _query_tuples, match_rows
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.program.dependency import dependency_graph
 from repro.program.rule import Atom, Query
@@ -91,30 +93,6 @@ class _Entry:
         self.key = key
         self.rows = rows
         self.lsn = lsn
-
-
-def _bindings(
-    pattern: Atom, rows: Iterable[tuple[Term, ...]]
-) -> list[dict]:
-    """Sorted distinct bindings of ``pattern`` over ``rows``.
-
-    Mirrors :func:`repro.engine.evaluator.answer_query` exactly, so a
-    cached answer is indistinguishable from an engine answer.
-    """
-    answers: list[dict] = []
-    seen: set[frozenset] = set()
-    for args in rows:
-        for binding in match_atom(pattern, args, {}):
-            key = frozenset(binding.items())
-            if key not in seen:
-                seen.add(key)
-                answers.append(binding)
-    answers.sort(
-        key=lambda b: tuple(
-            (name, value.sort_key()) for name, value in sorted(b.items())
-        )
-    )
-    return answers
 
 
 class AnswerCache:
@@ -169,13 +147,13 @@ class AnswerCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return _bindings(pattern, entry.rows), "hit"
+                return match_rows(pattern, entry.rows), "hit"
             donor = self._subsuming_entry(key)
             if donor is not None:
                 self._entries.move_to_end(donor.key)
                 self.hits += 1
                 self.subsumed += 1
-                return _bindings(pattern, donor.rows), "hit-subsumed"
+                return match_rows(pattern, donor.rows), "hit-subsumed"
         # miss: evaluate outside the mutex (possibly slow), then insert.
         rows, lsn = self._load(key, relaxed)
         with self._mutex:
@@ -184,7 +162,7 @@ class AnswerCache:
                 self._entries[key] = _Entry(key, rows, lsn)
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
-        return _bindings(pattern, rows), "miss"
+        return match_rows(pattern, rows), "miss"
 
     def _subsuming_entry(self, key: Key) -> _Entry | None:
         """A broader entry able to answer ``key`` by filtering, if any.
@@ -256,8 +234,6 @@ class AnswerCache:
         session: "LDL", relaxed: Query
     ) -> tuple[tuple[Term, ...], ...]:
         """Matching rows straight off the session's materialized model."""
-        from repro.engine.evaluator import _query_tuples
-
         db = session.model().database
         rows = {tuple(args) for args in _query_tuples(db, relaxed)}
         return tuple(

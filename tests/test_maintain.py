@@ -23,6 +23,7 @@ from repro.errors import EvaluationError
 from repro.observe import TraceRecorder
 from repro.parser import parse_atom, parse_rules
 from repro.storage.store import DurableStore
+from repro.workloads.generator import GeneratorConfig, random_program
 from tests.strategies import update_scripts
 
 ANCESTOR = parse_rules(
@@ -232,3 +233,24 @@ def test_property_delta_recompute_and_scratch_agree(script):
         expected = scratch_set(generated.program, current)
         assert delta.as_set() == expected
         assert oracle.as_set() == expected
+
+
+def test_group_emptied_while_negation_flip_inserts_body_fact():
+    """Removing e0(5,4) empties p9's group for X=5 while the negation
+    flip in p4 inserts p4(5,4) — the group's support must go to zero,
+    not be clamped at zero by the deletion term and re-added by the
+    insertion term."""
+    generated = random_program(
+        107,
+        GeneratorConfig(negation_probability=0.4, grouping_probability=0.35),
+    )
+    initial = atoms(
+        "e0(5,4)", "e1(2,0)", "e0(3,5)", "e2(4,4)", "e1(2,3)", "e1(5,5)",
+        "e1(5,4)",
+    )
+    delta = IncrementalModel(generated.program, initial, maintain="delta")
+    assert parse_atom("p9(5, {4})") in delta.as_set()
+    delta.remove_facts(atoms("e0(5,4)"))
+    expected = scratch_set(generated.program, initial[1:])
+    assert parse_atom("p9(5, {4})") not in expected
+    assert delta.as_set() == expected
