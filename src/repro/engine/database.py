@@ -19,8 +19,10 @@ from typing import Iterable, Iterator
 from repro.engine.relation import ArgTuple, IdRow, Relation, encode_args
 from repro.errors import EvaluationError
 from repro.program.rule import Atom, canonical_atom
+from repro.terms.term import Const, intern_term
 
 _rid_of = attrgetter("_rid")
+_PLAIN_CONST = frozenset({Const})
 
 
 class Database:
@@ -32,7 +34,10 @@ class Database:
         """Load ``facts`` in one pass, in input order.
 
         An atom whose arguments are all interned already is encoded by
-        reading their row IDs; any other atom goes through
+        reading their row IDs; one whose arguments are all plain
+        :class:`~repro.terms.term.Const` interns them directly, left to
+        right (exactly what canonicalizing them would do); any other
+        atom goes through
         :func:`~repro.program.rule.canonical_atom` (which interns it,
         subterms first, and raises ``EvaluationError`` or
         ``NotInUniverseError`` on a fact outside U), so dense IDs are
@@ -48,9 +53,15 @@ class Database:
             args = atom.args
             row = tuple(map(_rid_of, args))
             if None in row:
-                atom = canonical_atom(atom)
-                args = atom.args
-                row = encode_args(args)
+                if _PLAIN_CONST.issuperset(map(type, args)):
+                    # plain constants: canonical_atom would only intern
+                    # them, so intern directly, left to right
+                    args = tuple(map(intern_term, args))
+                    row = tuple(map(_rid_of, args))
+                else:
+                    atom = canonical_atom(atom)
+                    args = atom.args
+                    row = encode_args(args)
             rows = pending.get(atom.pred)
             if rows is None:
                 rows = pending[atom.pred] = {}

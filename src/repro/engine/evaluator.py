@@ -48,6 +48,7 @@ from repro.program.rule import Atom, Program, Query, Rule
 from repro.program.stratify import Layering, stratify, validate_layering
 from repro.program.wellformed import check_program
 from repro.terms.term import Term, Var, evaluate_ground, id_table_size
+from repro.util import collections_run, collector_paused
 
 Strategy = TypingLiteral["naive", "seminaive"]
 Scheduler = TypingLiteral["scc", "layer"]
@@ -171,6 +172,7 @@ def evaluate_component(
     return stats
 
 
+@collector_paused()
 def evaluate(
     program: Program,
     edb: Iterable[Atom] = (),
@@ -212,7 +214,14 @@ def evaluate(
     contract, so the parallel path only engages for the default
     observable surface: semi-naive strategy, SCC scheduler, no hooks,
     and a fork-capable platform; anything else falls back to serial.
+
+    The whole call runs with the cyclic garbage collector paused
+    (:func:`repro.util.collector_paused`); ``metrics`` counts the
+    collections that still ran per generation (``gc_gen0_collections``
+    and so on), which is 0 unless something collects explicitly.
     """
+    if metrics is not None:
+        collections_before = collections_run()
     if check:
         check_program(program)
     if layering is None:
@@ -261,7 +270,7 @@ def evaluate(
             ) as pool:
                 layer_stats = run_schedule(db, schedule, ctx, pool, layering)
             if metrics is not None:
-                metrics.record_id_table(id_table_size())
+                _record_totals(metrics, collections_before)
             return EvaluationResult(
                 db, layering, layer_stats, strategy, metrics, ctx
             )
@@ -303,8 +312,20 @@ def evaluate(
             )
         layer_stats.append(stats)
     if metrics is not None:
-        metrics.record_id_table(id_table_size())
+        _record_totals(metrics, collections_before)
     return EvaluationResult(db, layering, layer_stats, strategy, metrics, ctx)
+
+
+def _record_totals(
+    metrics: MetricsCollector, collections_before: tuple[int, ...]
+) -> None:
+    """Per-evaluation tallies: the ID-table high-water mark and the
+    cyclic-collector passes run since ``collections_before``."""
+    metrics.record_id_table(id_table_size())
+    for gen, (after, before) in enumerate(
+        zip(collections_run(), collections_before)
+    ):
+        metrics.incr(f"gc_gen{gen}_collections", after - before)
 
 
 def _query_tuples(db: Database, query: Query) -> Iterable[tuple[Term, ...]]:

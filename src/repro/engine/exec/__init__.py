@@ -41,10 +41,10 @@ from typing import Iterable
 
 from repro.engine.binding import ChainBinding
 from repro.engine.database import Database
-from repro.engine.exec import kernels
+from repro.engine.exec import kernels, specialize
 from repro.engine.exec.batch import group_bindings, run_plan_batch
 from repro.engine.exec.kernels import RowBatch
-from repro.engine.exec.specialize import FALLBACK, specialized_plan
+from repro.engine.exec.specialize import FALLBACK
 from repro.engine.exec.tuplewise import run_plan_tuple
 from repro.engine.plan import RulePlan, SourceOverrides
 from repro.program.rule import Atom
@@ -187,8 +187,8 @@ def enumerate_bindings(
             negation_db=negation_db,
         )
     if _specialize == "on":
-        result = specialized_plan(plan).run(
-            "bindings", db, binding, overrides, negation_db, metrics
+        result = specialize.run(
+            plan, "bindings", db, binding, overrides, negation_db, metrics
         )
         if result is not FALLBACK:
             return result
@@ -212,8 +212,8 @@ def derive_facts(
     if name == "batch" and _specialize == "on" and plan.head is not None:
         # the specialized atoms mode inlines head instantiation too:
         # facts come straight off the ID rows, no intermediate binding
-        result = specialized_plan(plan).run(
-            "atoms", db, None, overrides, negation_db, metrics
+        result = specialize.run(
+            plan, "atoms", db, None, overrides, negation_db, metrics
         )
         if result is not FALLBACK:
             return result
@@ -254,14 +254,14 @@ def derive_rows(
         or plan.head is None
     ):
         return None
-    result = specialized_plan(plan).run(
-        "rows", db, None, overrides, negation_db, metrics
+    result = specialize.run(
+        plan, "rows", db, None, overrides, negation_db, metrics
     )
     if result is FALLBACK:
         return None
     head = plan.head.atom
     return DerivedRows(
-        head.pred, len(head.args), result, specialized_plan(plan).decoder()
+        head.pred, len(head.args), result, specialize.decoder(plan)
     )
 
 

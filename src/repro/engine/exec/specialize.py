@@ -1091,98 +1091,87 @@ def _generate(plan: RulePlan, mode: str) -> tuple[str, dict]:
 _CODE_CACHE: dict[tuple[str, str], object] = {}
 
 
-class SpecializedPlan:
-    """Lazy per-mode compilation cache hung off a :class:`RulePlan`.
+def decoder(plan: RulePlan):
+    """The rows→args materializer for ``plan``'s head: variable
+    positions decode through the ID table, constant positions reuse
+    the rule's evaluated constant verbatim (preserving the exact
+    spelling atoms mode emits — equality-class IDs would surface
+    whichever equal spelling interned first).  Built once per plan."""
+    fn = plan._decode
+    if fn is None:
+        parts = plan.head.parts
+        table = _ID_TABLE
+        if all(kindh == VAR for kindh, _ in parts):
 
-    Each mode compiles at most once; an unsupported shape caches False
-    so the term-level fallback is not re-attempted per call."""
+            def fn(row, _table=table):
+                return tuple([_table[rid] for rid in row])
 
-    __slots__ = ("plan", "_fns", "_decode")
+        else:
+            slots = tuple(
+                payload if kindh != VAR else None
+                for kindh, payload in parts
+            )
 
-    def __init__(self, plan: RulePlan) -> None:
-        self.plan = plan
-        self._fns: dict[str, object] = {}
-        self._decode = None
-
-    def decoder(self):
-        """The rows→args materializer for this plan's head: variable
-        positions decode through the ID table, constant positions reuse
-        the rule's evaluated constant verbatim (preserving the exact
-        spelling atoms mode emits — equality-class IDs would surface
-        whichever equal spelling interned first)."""
-        fn = self._decode
-        if fn is None:
-            parts = self.plan.head.parts
-            table = _ID_TABLE
-            if all(kindh == VAR for kindh, _ in parts):
-
-                def fn(row, _table=table):
-                    return tuple([_table[rid] for rid in row])
-
-            else:
-                slots = tuple(
-                    payload if kindh != VAR else None
-                    for kindh, payload in parts
+            def fn(row, _table=table, _slots=slots):
+                return tuple(
+                    _table[rid] if term is None else term
+                    for rid, term in zip(row, _slots)
                 )
 
-                def fn(row, _table=table, _slots=slots):
-                    return tuple(
-                        _table[rid] if term is None else term
-                        for rid, term in zip(row, _slots)
-                    )
+        plan._decode = fn
+    return fn
 
-            self._decode = fn
-        return fn
 
-    def _function(self, mode: str):
-        fn = self._fns.get(mode)
-        if fn is None:
-            plan = self.plan
-            try:
-                source, env = _generate(plan, mode)
-                label = plan.head.atom.pred if plan.head is not None else "body"
-                key = (f"<specialized:{label}:{mode}>", source)
-                code = _CODE_CACHE.get(key)
-                if code is None:
-                    code = compile(source, key[0], "exec")
-                    _CODE_CACHE[key] = code
-                exec(code, env)
-                fn = env["_specialized"]
-            except _Unsupported:
-                fn = False
-            self._fns[mode] = fn
-        return fn
+def _function(plan: RulePlan, mode: str):
+    """``plan``'s compiled closure for ``mode``, compiled at most once;
+    an unsupported shape caches False so the term-level fallback is not
+    re-attempted per call.
 
-    def run(
-        self,
-        mode: str,
-        db: Database,
-        binding: Mapping[str, Term] | None,
-        overrides: SourceOverrides | None,
-        negation_db: Database | None,
-        metrics,
-    ):
-        """Run one mode, or :data:`FALLBACK` (always before consuming
-        any override source, so the term lane sees fresh iterators)."""
-        plan = self.plan
-        base = {} if binding is None else materialize(binding)
-        if frozenset(base) != plan.initially_bound:
-            return FALLBACK
-        fn = self._function(mode)
-        if fn is False:
-            return FALLBACK
+    The closures live on the plan but never point back at it, and the
+    exec namespace drops its ``_specialized`` entry (the function keeps
+    the namespace as its globals, not the reverse), so a plan, its
+    closures and their builtin memos are freed by reference counting
+    alone when the plan cache lets go of them."""
+    fns = plan._fns
+    fn = fns.get(mode)
+    if fn is None:
         try:
-            seed = {name: row_id(value) for name, value in base.items()}
-        except (TypeError, AttributeError):
-            return FALLBACK
-        negdb = db if negation_db is None else negation_db
-        return fn(db, overrides, seed, base, negdb, metrics)
+            source, env = _generate(plan, mode)
+            label = plan.head.atom.pred if plan.head is not None else "body"
+            key = (f"<specialized:{label}:{mode}>", source)
+            code = _CODE_CACHE.get(key)
+            if code is None:
+                code = compile(source, key[0], "exec")
+                _CODE_CACHE[key] = code
+            exec(code, env)
+            fn = env.pop("_specialized")
+        except _Unsupported:
+            fn = False
+        fns[mode] = fn
+    return fn
 
 
-def specialized_plan(plan: RulePlan) -> SpecializedPlan:
-    """The plan's specialization cache, created on first use."""
-    spec = plan._spec
-    if spec is None:
-        spec = SpecializedPlan(plan)
-        plan._spec = spec
-    return spec
+def run(
+    plan: RulePlan,
+    mode: str,
+    db: Database,
+    binding: Mapping[str, Term] | None,
+    overrides: SourceOverrides | None,
+    negation_db: Database | None,
+    metrics,
+):
+    """Run ``plan`` in one mode, or return :data:`FALLBACK` (always
+    before consuming any override source, so the term lane sees fresh
+    iterators)."""
+    base = {} if binding is None else materialize(binding)
+    if frozenset(base) != plan.initially_bound:
+        return FALLBACK
+    fn = _function(plan, mode)
+    if fn is False:
+        return FALLBACK
+    try:
+        seed = {name: row_id(value) for name, value in base.items()}
+    except (TypeError, AttributeError):
+        return FALLBACK
+    negdb = db if negation_db is None else negation_db
+    return fn(db, overrides, seed, base, negdb, metrics)

@@ -233,7 +233,8 @@ class RulePlan:
         "planner",
         "first",
         "initially_bound",
-        "_spec",
+        "_fns",
+        "_decode",
     )
 
     def __init__(
@@ -253,11 +254,12 @@ class RulePlan:
         self.planner = planner
         self.first = first
         self.initially_bound = initially_bound
-        # lazy per-plan specialization cache; the compiled-closure
-        # executor (repro.engine.exec.specialize) hangs its state here.
+        # lazy specialization state owned by repro.engine.exec.specialize:
+        # compiled closures per mode and the rows-mode head decoder.
         # Populated on first execution, after compile_rule has finished
-        # mutating head/rule.
-        self._spec = None
+        # mutating head/rule; nothing stored here refers back to the plan.
+        self._fns: dict[str, object] = {}
+        self._decode = None
 
     def instantiate_head(self, binding: Mapping[str, Term]) -> Atom | None:
         assert self.head is not None, "body-only plan has no head template"

@@ -45,6 +45,7 @@ from repro.magic.rewrite import MagicProgram, magic_rewrite
 from repro.program.rule import Atom, Program, Query, Rule
 from repro.program.wellformed import check_program
 from repro.terms.term import evaluate_ground
+from repro.util import collector_paused
 
 
 @dataclass
@@ -96,6 +97,7 @@ def _apply_deferred(
     return derive_facts(db, ctx.plan_for(rule), executor=ctx.executor)
 
 
+@collector_paused()
 def evaluate_magic(
     program: Program,
     query: Query,
@@ -111,7 +113,8 @@ def evaluate_magic(
     matching the query, but restricted to facts relevant to the query's
     constants.  ``rewrite`` selects the rewriting algorithm (default:
     Generalized Magic Sets; see
-    :func:`repro.magic.supplementary.supplementary_rewrite`).
+    :func:`repro.magic.supplementary.supplementary_rewrite`).  Runs
+    with the cyclic collector paused, like :func:`repro.engine.evaluate`.
     """
     if check:
         check_program(program)

@@ -27,7 +27,9 @@ and its session and memoizes query answers across clients:
   :meth:`repro.api.LDL.on_demand_rows`), so a bound query on a large
   database never materializes the full model.  Free queries and EDB
   predicates read the session's (already materialized or memoized)
-  model directly; any magic-side failure falls back to the model too.
+  model directly; any magic-side failure falls back to the model too,
+  counted per exception type under ``magic_fallbacks`` in
+  :meth:`AnswerCache.report`.
 
 * **Invalidation.**  Writes invalidate *precisely*: the session's
   delta listeners deliver an :class:`repro.engine.maintain.Invalidation`
@@ -114,6 +116,9 @@ class AnswerCache:
         self.subsumed = 0
         self.invalidation_events = 0
         self.entries_invalidated = 0
+        #: on-demand magic failures answered by a model scan instead,
+        #: per exception type name.
+        self.magic_fallbacks: dict[str, int] = {}
 
     def __len__(self) -> int:
         with self._mutex:
@@ -225,8 +230,12 @@ class AnswerCache:
         if "b" in adornment and pred in session.program.idb_predicates():
             try:
                 return tuple(session.on_demand_rows(relaxed)), lsn
-            except Exception:  # noqa: BLE001 - model fallback is always valid
-                pass
+            except Exception as exc:  # noqa: BLE001 - model fallback is always valid
+                name = type(exc).__name__
+                with self._mutex:
+                    self.magic_fallbacks[name] = (
+                        self.magic_fallbacks.get(name, 0) + 1
+                    )
         return self._rows_from_model(session, relaxed), lsn
 
     @staticmethod
@@ -325,6 +334,7 @@ class AnswerCache:
                 "hit_rate": self.hits / lookups if lookups else 0.0,
                 "invalidation_events": self.invalidation_events,
                 "entries_invalidated": self.entries_invalidated,
+                "magic_fallbacks": dict(self.magic_fallbacks),
             }
 
     def __repr__(self) -> str:

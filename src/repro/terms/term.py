@@ -562,17 +562,14 @@ def _assign_ids(term: Term) -> None:
     :func:`intern_snapshot` replay depends on that: a fresh process
     re-interning the table's codec fragments bottom-up must land every
     entry on the sender's exact ID, which fails if a subterm's first
-    table appearance is *inside* a composite entry.
+    table appearance is *inside* a composite entry.  Subterms are
+    interned as spelled (:func:`_intern_spelled`), since that is how the
+    entry encodes them.
     """
     if term._tid is None:
-        if isinstance(term, Func):
-            for arg in term.args:
-                if arg._tid is None:
-                    term_id(arg)
-        elif isinstance(term, SetVal):
-            for element in term:
-                if element._tid is None:
-                    term_id(element)
+        for sub in _subterms(term):
+            if sub._tid is None:
+                _intern_spelled(sub)
     with _ID_LOCK:
         if term._tid is not None:
             return
@@ -610,6 +607,31 @@ def _assign_ids(term: Term) -> None:
         else:
             term._rid = tid
         term._tid = tid
+
+
+def _subterms(term: Term):
+    """Func args or set elements, in the order ``encode_term`` walks."""
+    if isinstance(term, Func):
+        return term.args
+    if isinstance(term, SetVal):
+        return term
+    return ()
+
+
+def _intern_spelled(term: Term) -> None:
+    """Intern ``term`` and, before it, every subterm exactly as spelled.
+
+    Equality ignores string-constant quoting, so a non-canonical
+    ``g("b")`` interns to an earlier ``g(b)`` and the quoted ``"b"``
+    inside it would never get an ID of its own.  A composite entry
+    holding that ``g("b")`` encodes it as spelled, and a replaying
+    process interns ``"b"`` while decoding the entry: it must already
+    be in the table, or the replay assigns it the entry's ID.
+    """
+    for sub in _subterms(term):
+        if sub._tid is None:
+            _intern_spelled(sub)
+    term_id(term)
 
 
 def _intern_key(term: Term):

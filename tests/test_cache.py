@@ -90,6 +90,27 @@ class TestCacheBasics:
             if q.atom.pred in db.program.idb_predicates():
                 assert cached == db.query_magic(q).answers()
 
+    def test_bound_query_fills_on_demand_without_fallback(self):
+        cache = AnswerCache().bind_session(tc_session())
+        assert cache.answers(parse_query("? t(1, X)."))[1] == "miss"
+        assert cache.report()["magic_fallbacks"] == {}
+
+    def test_magic_failure_falls_back_to_the_model_and_is_counted(
+        self, monkeypatch
+    ):
+        session = tc_session()
+
+        def broken(query):
+            raise RuntimeError("magic evaluation failed")
+
+        monkeypatch.setattr(session, "on_demand_rows", broken)
+        cache = AnswerCache().bind_session(session)
+        answers, how = cache.answers(parse_query("? t(1, X)."))
+        assert how == "miss"
+        assert [b["X"].value for b in answers] == [2, 3]
+        assert cache.answers(parse_query("? t(2, X)."))[1] == "miss"
+        assert cache.report()["magic_fallbacks"] == {"RuntimeError": 2}
+
     def test_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANSWER_CACHE", "off")
         assert not cache_enabled()
@@ -260,3 +281,4 @@ def test_cached_answers_equal_uncached_oracle(script):
     # the workload must actually exercise the cache, not just miss
     report = cache.report()
     assert report["hits"] + report["misses"] > 0
+    assert report["magic_fallbacks"] == {}

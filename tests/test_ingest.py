@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.engine.evaluator as evaluator
@@ -191,13 +191,52 @@ def _one_at_a_time(facts):
     return db
 
 
+#: all-``Const`` facts only (the direct-intern path): fresh symbols in
+#: both spellings, equal but non-interned symbols, int/float twins.
+ALL_CONST_SCRIPT = [
+    (("p", (("sym", "a", False), ("num", 1))), "fresh"),
+    (("p", (("sym", "a", True), ("num", 1.0))), "fresh"),
+    (("q", (("sym", "b", True),)), "reused"),
+    (("q", (("sym", "b", False),)), "fresh"),
+    (("p", (("sym", "b", False), ("sym", "a", True))), "reused"),
+    (("p", (("sym", "a", False), ("num", 1))), "fresh"),
+    (("r", ()), "fresh"),
+]
+
+
 @given(ingest_scripts())
+@example(ALL_CONST_SCRIPT)
 @settings(max_examples=120, deadline=None)
 def test_bulk_ingest_matches_atom_at_a_time(script):
     _load(script, Database)  # warm-up: intern namespace-free terms
     bulk = _load(script, Database)
     reference = _load(script, _one_at_a_time)
     assert bulk == reference
+
+
+def test_plain_constants_skip_canonical_atom(monkeypatch):
+    """Atoms whose arguments are all ``Const`` are interned directly;
+    any other non-interned atom is still canonicalized."""
+    import repro.engine.database as database
+
+    calls = []
+    real = database.canonical_atom
+
+    def counted(atom):
+        calls.append(atom.pred)
+        return real(atom)
+
+    monkeypatch.setattr(database, "canonical_atom", counted)
+    ns = f"ingest{next(_namespaces)}_"
+    db = Database(
+        [
+            Atom("p", (Const(ns + "a"), Const(2))),
+            Atom("p", (Const(ns + "a", quoted=True), Const(2))),
+            Atom("q", (Func("f", (Const(ns + "b"),)),)),
+        ]
+    )
+    assert calls == ["q"]
+    assert db.count("p") == 1 and db.count("q") == 1
 
 
 def test_first_spelling_wins_the_term_lane():

@@ -199,19 +199,24 @@ class TestVectorToggle:
             set_vectorization("sometimes")
 
     def test_derive_rows_none_when_off(self):
+        """Only the vector knob decides: the executor and specialization
+        are pinned, so REPRO_EXECUTOR/REPRO_SPECIALIZE legs agree."""
         from repro.engine.context import ensure_context
         from repro.engine.database import Database
+        from repro.engine.exec import set_specialization, specialization
 
         program = parse_rules(TC)
         db = Database(_edges([(1, 2), (2, 3)]))
         ctx = ensure_context(None, db, "sized-once")
         plan = ctx.plan_for(program.rules[0])
         prev = vectorization()
+        prev_spec = specialization()
         try:
+            set_specialization("on")
             set_vectorization("off")
-            assert derive_rows(db, plan) is None
+            assert derive_rows(db, plan, executor="batch") is None
             set_vectorization("on")
-            dr = derive_rows(db, plan)
+            dr = derive_rows(db, plan, executor="batch")
             assert dr is not None
             assert dr.pred == "t" and dr.arity == 2
             assert {dr.decode(row) for row in dr.rows} == {
@@ -220,6 +225,7 @@ class TestVectorToggle:
             }
         finally:
             set_vectorization(prev)
+            set_specialization(prev_spec)
 
     def test_same_model_both_settings(self):
         program = parse_rules(TC)

@@ -9,10 +9,12 @@ with negation, grouping, and recursion, and a dead worker must surface
 as a clean :class:`EvaluationError`.
 """
 
+import itertools
 import multiprocessing
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import evaluate
 from repro.engine.database import Database
@@ -41,6 +43,7 @@ from repro.storage.codec import (
 from repro.terms.term import (
     Const,
     Func,
+    SetVal,
     id_table_size,
     intern_term,
     sync_intern_terms,
@@ -255,15 +258,9 @@ def _child_replays_table(conn, lines, expected_ids):
         conn.close()
 
 
-@needs_fork
-def test_fresh_process_replays_intern_table():
-    """The spawn-style handshake: a process with an empty intern table
-    replays the coordinator's codec fragments and ends up assigning the
-    same dense IDs."""
-    probes = ("replay_x", "replay_y")
-    expected = {
-        name: term_id(intern_term(Const(name))) for name in probes
-    }
+def _replayed(probes=()):
+    """``(status, payload)`` from a forked child that replays this
+    process's whole intern table (see :func:`_child_replays_table`)."""
     lines = intern_table_lines(0)
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe()
@@ -274,12 +271,75 @@ def test_fresh_process_replays_intern_table():
     child.close()
     try:
         assert parent.poll(30), "child never replied"
-        status, payload = parent.recv()
-        assert status == "ok", payload
-        assert payload == expected
+        return parent.recv()
     finally:
         proc.join(timeout=10)
         parent.close()
+
+
+@needs_fork
+def test_fresh_process_replays_intern_table():
+    """The spawn-style handshake: a process with an empty intern table
+    replays the coordinator's codec fragments and ends up assigning the
+    same dense IDs."""
+    probes = ("replay_x", "replay_y")
+    expected = {
+        name: term_id(intern_term(Const(name))) for name in probes
+    }
+    status, payload = _replayed(probes)
+    assert status == "ok", payload
+    assert payload == expected
+
+
+@needs_fork
+def test_replay_after_a_differently_spelled_subterm():
+    """``f(g("b"))`` interned after ``g(b)`` collapses its argument to
+    the earlier ``g(b)`` but is encoded as spelled: the quoted ``"b"``
+    must have its own earlier entry, or the replay hands it f's ID
+    (the table used to diverge here: local ``Const('b')`` vs remote
+    ``Func('f', ...)``).  Sets collapse spellings the same way."""
+    intern_term(Func("g", (Const("spelled_b"),)))
+    inner = Func("g", (Const("spelled_b", quoted=True),))
+    intern_term(Func("f", (inner, inner)))
+    intern_term(SetVal([Const("spelled_c")]))
+    intern_term(Func("h", (SetVal([Const("spelled_c", quoted=True)]),)))
+    status, payload = _replayed()
+    assert status == "ok", payload
+
+
+_replay_namespaces = itertools.count()
+
+spelled_terms = st.recursive(
+    st.tuples(st.just("c"), st.sampled_from("ab"), st.booleans()),
+    lambda inner: st.tuples(
+        st.just("f"), st.just("g"), st.lists(inner, min_size=1, max_size=2)
+    )
+    | st.tuples(st.just("s"), st.lists(inner, max_size=2)),
+    max_leaves=6,
+)
+
+
+def _spelled(spec, ns):
+    if spec[0] == "c":
+        return Const(ns + spec[1], quoted=spec[2])
+    if spec[0] == "f":
+        return Func(spec[1], tuple(_spelled(s, ns) for s in spec[2]))
+    return SetVal([_spelled(s, ns) for s in spec[1]])
+
+
+@needs_fork
+@given(st.lists(spelled_terms, min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_replay_of_any_interned_history_is_exact(history):
+    """Any sequence of raw ground terms — nested functions and sets
+    of one functor over two symbols quoted at random, so equal terms
+    spelled apart are common — interned in order leaves a table that a
+    fresh process replays exactly."""
+    ns = f"hist{next(_replay_namespaces)}_"
+    for spec in history:
+        intern_term(_spelled(spec, ns))
+    status, payload = _replayed()
+    assert status == "ok", payload
 
 
 # -- exchange ----------------------------------------------------------------
